@@ -64,17 +64,14 @@ class Implementation:
             raise ImplementationError(
                 f"implementation {self.name!r} has negative cost"
             )
-        # memos for runs_on / compatible_on / compatible_positions: the
-        # answers are static per element (resp. platform), but the
-        # binder and mapper ask them inside platform-wide scans on
-        # every admission.  Keyed by object identity; the references in
-        # the values keep ids stable.  All caches are bounded (cleared
-        # on overflow) so an implementation reused across many
-        # platforms cannot pin retired platforms in memory forever.
+        # memos for runs_on / compatible_classes: the answers are
+        # static per element (resp. platform), but the binder and mapper
+        # ask them on every admission.  Keyed by object identity; the
+        # references in the values keep ids stable.  Both caches are
+        # bounded (cleared on overflow) so an implementation reused
+        # across many platforms cannot pin retired platforms forever.
         object.__setattr__(self, "_compat", {})
-        object.__setattr__(self, "_platform_compat", {})
-        object.__setattr__(self, "_platform_positions", {})
-        object.__setattr__(self, "_platform_nodes", {})
+        object.__setattr__(self, "_platform_classes", {})
 
     def runs_on(self, element: ProcessingElement) -> bool:
         """Static compatibility: type/pin match and capacity is sufficient.
@@ -100,71 +97,45 @@ class Implementation:
         self._compat[id(element)] = (element, result)
         return result
 
-    def compatible_on(self, platform) -> tuple[tuple[int, object], ...]:
-        """Statically compatible elements of a platform, with positions.
+    def compatible_classes(self, platform) -> tuple[frozenset[int], int | None]:
+        """Static compatibility with a frozen platform, per capacity class.
 
-        Returns ``(position, element)`` pairs, where ``position``
-        indexes ``platform.elements`` — the scan order every allocation
-        phase uses.  Cached per platform, so platform-wide hot loops
-        iterate only the elements that can ever host this
-        implementation instead of re-checking ``runs_on`` each time.
+        Returns ``(classes, pin)``: the indexes into
+        ``platform.capacity_classes`` this implementation can run on —
+        the element kind matches and the requirement fits the class
+        capacity, tested once per class instead of once per element —
+        and, for a pinned implementation, the position of its element
+        in ``platform.elements`` (None when not pinned).  Together they
+        are exactly the elements :meth:`runs_on` accepts.
         """
-        cached = self._platform_compat.get(id(platform))
-        if cached is not None and cached[0] is platform:
-            return cached[1]
-        pairs = tuple(
-            (position, element)
-            for position, element in enumerate(platform.elements)
-            if self.runs_on(element)
-        )
-        if not platform.frozen:
-            return pairs  # mutable platform: the list may still grow
-        if len(self._platform_compat) >= _PLATFORM_CACHE_LIMIT:
-            self._platform_compat.clear()
-        self._platform_compat[id(platform)] = (platform, pairs)
-        return pairs
-
-    def compatible_positions(self, platform) -> frozenset[int]:
-        """Positions of :meth:`compatible_on` as a frozen set.
-
-        The GAP solver and the mapping layer's availability probe test
-        (task, element) compatibility once per candidate element per
-        layer; a static membership set turns each test into one hash
-        probe of an int.
-        """
-        cached = self._platform_positions.get(id(platform))
-        if cached is not None and cached[0] is platform:
-            return cached[1]
-        positions = frozenset(
-            position for position, _element in self.compatible_on(platform)
-        )
-        if not platform.frozen:
-            return positions  # mutable platform: the set may still grow
-        if len(self._platform_positions) >= _PLATFORM_CACHE_LIMIT:
-            self._platform_positions.clear()
-        self._platform_positions[id(platform)] = (platform, positions)
-        return positions
-
-    def compatible_nodes(self, platform) -> tuple[tuple[int, object], ...]:
-        """:meth:`compatible_on` with interned node ids instead of
-        positions — ``(node_id, element)`` pairs, for scans that index
-        the allocation ledgers directly."""
-        cached = self._platform_nodes.get(id(platform))
+        cached = self._platform_classes.get(id(platform))
         if cached is not None and cached[0] is platform:
             return cached[1]
         if not platform.frozen:
             raise ImplementationError(
-                "compatible_nodes requires a frozen platform"
+                "compatible_classes requires a frozen platform"
             )
-        element_ids = platform._element_ids
-        pairs = tuple(
-            (element_ids[position], element)
-            for position, element in self.compatible_on(platform)
-        )
-        if len(self._platform_nodes) >= _PLATFORM_CACHE_LIMIT:
-            self._platform_nodes.clear()
-        self._platform_nodes[id(platform)] = (platform, pairs)
-        return pairs
+        fits_in = self.requirement.fits_in
+        pin = None
+        if self.target_element is None:
+            classes = frozenset(
+                class_id
+                for class_id, group in enumerate(platform.capacity_classes)
+                if group.kind == self.target_kind and fits_in(group.capacity)
+            )
+        else:
+            node_id = platform._node_ids.get(self.target_element)
+            position = (
+                -1 if node_id is None else platform._node_position[node_id]
+            )
+            classes = frozenset()
+            if position >= 0 and fits_in(platform.elements[position].capacity):
+                classes = frozenset((platform._capacity_class_of[position],))
+                pin = position
+        if len(self._platform_classes) >= _PLATFORM_CACHE_LIMIT:
+            self._platform_classes.clear()
+        self._platform_classes[id(platform)] = (platform, (classes, pin))
+        return classes, pin
 
     @property
     def pinned(self) -> bool:

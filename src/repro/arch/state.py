@@ -37,6 +37,25 @@ like every other ledger, so a rolled-back attempt restores them
 bit-exactly; equal epochs therefore certify identical allocation
 state, which is what makes negative-result memoization sound.
 
+Two **indexes** answer the admission path's platform-wide questions
+in time proportional to what changed, not to the platform size:
+
+* the **free-class index** groups the non-failed elements by capacity
+  class (see :class:`~repro.arch.topology.CapacityClass`) and then by
+  current free vector; each group holds a bitmask of element positions
+  (scan order) and one of name ranks (tie-break order).
+  :class:`AvailabilityCache` tests a requirement once per group.
+* the **anchor index** keeps, per element, how many of its
+  element-neighbours are occupied, and one name-rank mask per
+  (occupied neighbours, connectivity) bucket — the only inputs of the
+  mapping cost of a task with no mapped peers.
+
+Both are updated where the ledgers they derive from change: the free
+mirror (:meth:`_mirror_free`, which journal undo calls too), fail and
+heal, and every empty <-> occupied transition of an element.  A
+rollback therefore restores them with no journal entries of their own,
+and :meth:`restore` rebuilds them.
+
 For the incremental distance-field engine
 (:mod:`repro.core.distfield`) the state additionally keeps a
 **link-traversability flip log**: an append-only sequence of link ids,
@@ -129,159 +148,180 @@ _BW_EPSILON = 1e-9
 _FLIP_LOG_CAP = 1 << 15
 
 
-class AvailabilityCache:
-    """Epoch-stamped per-implementation availability summaries.
+def fit_slack(requirement_items: tuple, free_data: dict) -> float | None:
+    """Best-fit score of one free vector; None when the requirement
+    does not fit.
 
-    Several callers ask the same question about the same specification
-    pool many times per admission attempt: *which elements can host
-    this implementation right now?*  The admission gate needs "at
-    least one", the mapping phase's anchor detection needs "exactly
-    one, and which".  Both are answered by one platform scan whose
-    result is a pure function of (implementation, allocation state) —
-    so the scan is cached and keyed by the capacity epoch: any
-    mutation invalidates wholesale, and within one epoch (one gate
-    check plus the binding phase, which never mutates state) every
-    repeat is O(1).
+    The slack is one minus the bottleneck ratio — the leftover share of
+    the scarcest resource, smaller is tighter.  The comparisons and
+    float divisions are those of ``ResourceVector.fits_in`` and
+    ``.bottleneck``, in the same order (requirement components in
+    insertion order), so every caller scores a free vector bit-for-bit
+    alike.
+    """
+    worst = 0.0
+    for kind, quantity in requirement_items:
+        have = free_data.get(kind)
+        if have is None or quantity > have:
+            return None
+        ratio = quantity / have
+        if ratio > worst:
+            worst = ratio
+    return 1.0 - worst
+
+
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+class AvailabilityCache:
+    """Which elements can host an implementation *now*, from the index.
+
+    Several callers ask this about the same specification pool many
+    times per admission attempt: the admission gate needs "at least
+    one", the mapping phase's anchor detection needs "exactly one, and
+    which" or the cheapest anchor, the binder the best fit.  Every
+    answer is read from the state's **free-class index** (see
+    :class:`AllocationState`): the non-failed elements grouped by
+    capacity class and then by current free vector, each group holding
+    a bitmask of element positions and one of name ranks.  A query
+    tests the requirement once per group — a few dozen groups on a
+    48x48 mesh instead of 2,304 elements — with :func:`fit_slack`, the
+    comparisons and divisions a per-element scan makes, and reads the
+    elements off the masks of the groups that fit.
 
     ``summary(impl)`` returns ``(count, first)`` where ``count`` is
     0, 1 or 2 (2 meaning *two or more*) and ``first`` is the first
     available element in platform scan order (None when count is 0).
-    ``best_fit(impl)`` returns the binder's best-fit answer over the
-    raw state — ``(element, slack)`` with minimal leftover on the
-    bottleneck resource, name-tie-broken — which the binding phase's
-    provisional pool reuses for its pristine (pre-reservation) round.
-    Both come from one platform scan.
+    ``best_fit(impl)`` returns ``(element, slack)`` with minimal
+    leftover on the bottleneck resource, name-tie-broken, or
+    ``(None, inf)``.  ``available(impl)`` lists every available element
+    in scan order, and ``anchor_candidates`` narrows the mapping
+    phase's anchor choice.
     """
 
-    __slots__ = ("_state", "_epoch", "_summaries", "memo")
+    __slots__ = ("_state", "_memo", "_generation")
 
     def __init__(self, state: "AllocationState") -> None:
         self._state = state
-        self._epoch = -1
-        #: id(impl) -> (impl, count, first, best, best_slack) — impl
-        #: kept in the value so a recycled id can never alias a dead
-        #: object
-        self._summaries: dict[int, tuple] = {}
-        #: free-form epoch-scoped memo for callers whose derived values
-        #: are pure functions of (their key, allocation state) — e.g.
-        #: the mapping phase's anchor-element choice.  Cleared together
-        #: with the summaries whenever the epoch moves.
-        self.memo: dict = {}
+        #: id(impl) -> (impl, fitting groups), valid while the index
+        #: generation is unchanged (the gate, the binder and the mapping
+        #: phase of one attempt ask about the same implementations)
+        self._memo: dict[int, tuple] = {}
+        self._generation = -1
 
     def summary(self, impl) -> tuple[int, ProcessingElement | None]:
-        entry = self._entry(impl)
-        return entry[1], entry[2]
+        positions = 0
+        for _slack, group_positions, _ranks in self._fitting(impl):
+            positions |= group_positions
+        if not positions:
+            return 0, None
+        first = self._state.platform.elements[_lowest_bit(positions)]
+        return (1 if (positions & (positions - 1)) == 0 else 2), first
 
-    def best_fit(self, impl) -> tuple[ProcessingElement | None, float]:
-        entry = self._entry(impl)
-        return entry[3], entry[4]
+    def best_fit(
+        self, impl, excluded: int = 0
+    ) -> tuple[ProcessingElement | None, float]:
+        """Best fit over the elements whose name-rank bit is not set in
+        ``excluded`` (the binder's provisionally reserved elements)."""
+        best_slack = float("inf")
+        best_ranks = 0
+        for slack, _positions, ranks in self._fitting(impl):
+            if excluded:
+                ranks &= ~excluded
+                if not ranks:
+                    continue
+            if slack < best_slack:
+                best_slack = slack
+                best_ranks = ranks
+            elif slack == best_slack:
+                best_ranks |= ranks
+        if not best_ranks:
+            return None, float("inf")
+        elements = self._state.platform._elements_by_rank
+        return elements[_lowest_bit(best_ranks)], best_slack
 
     def available(self, impl) -> tuple:
         """All currently available elements, in platform scan order."""
-        return self._entry(impl)[5]
+        positions = 0
+        for _slack, group_positions, _ranks in self._fitting(impl):
+            positions |= group_positions
+        elements = self._state.platform.elements
+        # bit i of the mask is the i-th character from the right
+        bits = bin(positions)[:1:-1]
+        return tuple(
+            elements[position]
+            for position, bit in enumerate(bits) if bit == "1"
+        )
 
-    def epoch_memo(self) -> dict:
-        """The epoch-scoped free-form memo (cleared on any mutation)."""
-        if self._epoch != self._state._epoch:
-            self._summaries.clear()
-            self.memo.clear()
-            self._epoch = self._state._epoch
-        return self.memo
+    def anchor_candidates(self, impl) -> tuple:
+        """The first-named available element of each anchor bucket.
 
-    def _entry(self, impl) -> tuple:
+        The state's **anchor index** buckets the elements by (occupied
+        element-neighbours, connectivity).  A cost that depends on
+        nothing else — the stock mapping cost of a task with no mapped
+        peers — is equal within a bucket, so its ``(cost, name)``
+        minimum over every available element is its minimum over these
+        candidates: about ten instead of thousands.
+        """
+        available = 0
+        for _slack, _positions, ranks in self._fitting(impl):
+            available |= ranks
+        elements = self._state.platform._elements_by_rank
+        candidates = []
+        for row in self._state._anchor_rows.values():
+            for ranks in row:
+                hit = ranks & available
+                if hit:
+                    candidates.append(elements[_lowest_bit(hit)])
+        return tuple(candidates)
+
+    def _fitting(self, impl) -> list[tuple[float, int, int]]:
+        """``(slack, position mask, rank mask)`` of every free class the
+        implementation fits, restricted to its static compatibility."""
         state = self._state
-        epoch = state._epoch
-        if self._epoch != epoch:
-            self._summaries.clear()
-            self.memo.clear()
-            self._epoch = epoch
-        key = id(impl)
-        cached = self._summaries.get(key)
+        if self._generation != state._index_generation:
+            self._memo.clear()
+            self._generation = state._index_generation
+        cached = self._memo.get(id(impl))
         if cached is not None and cached[0] is impl:
-            return cached
-        entry = self._scan(impl)
-        self._summaries[key] = entry
-        return entry
+            return cached[1]
+        fitting = self._fit(impl)
+        self._memo[id(impl)] = (impl, fitting)
+        return fitting
 
-    def _scan(self, impl) -> tuple:
+    def _fit(self, impl) -> list[tuple[float, int, int]]:
         state = self._state
         platform = state.platform
         requirement_items = tuple(impl.requirement._data.items())
-        failed = state._failed_elements
-        count = 0
-        first: ProcessingElement | None = None
-        best: ProcessingElement | None = None
-        best_slack = float("inf")
-        available_elements: list = []
-        # fits + bottleneck fused over the state's per-kind free
-        # arrays: identical comparisons and divisions (in the same
-        # order) as ResourceVector.fits_in / .bottleneck, but each
-        # probe is one flat-array read; the one- and two-kind
-        # requirement shapes (virtually every generated implementation)
-        # skip the inner loop entirely.  A requirement kind no element
-        # ever offered has no array — nothing can fit.
-        free_arrays = state._free_arrays
-        arity = len(requirement_items)
-        array_a = array_b = None
-        quantity_a = quantity_b = None
-        if arity == 1:
-            ((kind_a, quantity_a),) = requirement_items
-            array_a = free_arrays.get(kind_a)
-            if array_a is None:
-                return (impl, 0, None, None, best_slack, ())
-        elif arity == 2:
-            (kind_a, quantity_a), (kind_b, quantity_b) = requirement_items
-            array_a = free_arrays.get(kind_a)
-            array_b = free_arrays.get(kind_b)
-            if array_a is None or array_b is None:
-                return (impl, 0, None, None, best_slack, ())
-        for element_id, element in impl.compatible_nodes(platform):
-            if failed and element_id in failed:
-                continue
-            if arity == 1:
-                have = array_a[element_id]
-                if quantity_a > have:
-                    continue
-                worst = quantity_a / have
-            elif arity == 2:
-                have = array_a[element_id]
-                if quantity_a > have:
-                    continue
-                worst = quantity_a / have
-                have = array_b[element_id]
-                if quantity_b > have:
-                    continue
-                ratio = quantity_b / have
-                if ratio > worst:
-                    worst = ratio
-            else:
-                available = state._free[element_id]._data
+        classes, pin = impl.compatible_classes(platform)
+        fitting = []
+        if pin is not None:
+            group = state._group_of[pin]
+            if group is not None:
+                slack = fit_slack(requirement_items, group[0])
+                if slack is not None:
+                    fitting.append(
+                        (slack, 1 << pin, 1 << platform._name_rank[pin])
+                    )
+            return fitting
+        free_classes = state._free_classes
+        for class_id in classes:
+            for data, positions, ranks, _key in (
+                free_classes[class_id].values()
+            ):
+                # fit_slack, inlined: this loop is the whole query
                 worst = 0.0
                 for kind, quantity in requirement_items:
-                    have = available.get(kind)
+                    have = data.get(kind)
                     if have is None or quantity > have:
-                        worst = -1.0
                         break
                     ratio = quantity / have
                     if ratio > worst:
                         worst = ratio
-                if worst < 0.0:
-                    continue
-            if count == 0:
-                first = element
-                count = 1
-            elif count == 1:
-                count = 2
-            available_elements.append(element)
-            slack = 1.0 - worst
-            if slack < best_slack or (
-                slack == best_slack
-                and best is not None and element.name < best.name
-            ):
-                best = element
-                best_slack = slack
-        return (impl, count, first, best, best_slack,
-                tuple(available_elements))
+                else:
+                    fitting.append((1.0 - worst, positions, ranks))
+        return fitting
 
 
 class _Transaction:
@@ -360,13 +400,29 @@ class AllocationState:
         self._agg_free_kind: dict = {}
         self._recompute_aggregates()
         # per-kind mirror of the free vectors (node-id-indexed flat
-        # arrays, zero for missing kinds): the platform-wide scans of
-        # the availability cache and the mapping probes index these
-        # instead of hashing into each element's component dict.
+        # arrays, zero for missing kinds): the mapping probes index
+        # these instead of hashing into each element's component dict.
         # Maintained by occupy/vacate (and their undos) cell-exactly —
         # every write copies the value the vector ledger carries.
         self._free_arrays: dict = {}
         self._rebuild_free_arrays()
+        # the free-class index (see the module docstring): per capacity
+        # class, frozenset of the free vector's items -> [its
+        # components, position mask, name-rank mask, the key];
+        # _group_of[position] is the element's group (None while failed).
+        # The generation counts group changes and never decreases —
+        # undo and restore move it on too — so equal generations mean
+        # an unchanged free-class index
+        self._free_classes: list[dict] = []
+        self._group_of: list[list | None] = []
+        self._index_generation = 0
+        # the anchor index: occupied element-neighbours per position, and
+        # per connectivity the name-rank masks by occupied count;
+        # _anchor_row_of[position] is the row of its connectivity
+        self._occupied_neighbors: list[int] = []
+        self._anchor_rows: dict[int, list[int]] = {}
+        self._anchor_row_of: list[list[int]] = []
+        self._rebuild_indexes()
         # link-traversability flip log (see module docstring): one link
         # id per committed traversability change, append-only — undo
         # appends the reversing flip rather than erasing history, so a
@@ -408,15 +464,6 @@ class AllocationState:
             raise AllocationError("rollback_to() requires an open transaction")
         while len(journal) > mark:
             self._undo(journal.pop())
-        # a later committed mutation will re-reach the epoch values this
-        # rolled-back span used, so any cache entries stamped with an
-        # uncommitted (greater) epoch must not survive — they observed
-        # state that no longer exists.  Entries stamped at or before
-        # the restored epoch observed exactly the restored state and
-        # stay valid.
-        cache = self._availability
-        if cache is not None and cache._epoch > self._epoch:
-            cache._epoch = -1
 
     def _tx_begin(self) -> int:
         if self._journal is None:
@@ -445,7 +492,10 @@ class AllocationState:
         op = entry[0]
         if op == _OP_OCCUPY:
             _op, element_id, key, old_free, old_allocated, agg = entry
-            occupant = self._occupants[element_id].pop()
+            occupants = self._occupants[element_id]
+            occupant = occupants.pop()
+            if not occupants:
+                self._occupancy_flip(element_id, -1)
             self._free[element_id] = old_free
             del self._placements[key]
             self._wear[element_id] -= 1
@@ -455,7 +505,10 @@ class AllocationState:
         elif op == _OP_VACATE:
             (_op, element_id, key, occupant, index,
              old_free, old_allocated, agg) = entry
-            self._occupants[element_id].insert(index, occupant)
+            occupants = self._occupants[element_id]
+            occupants.insert(index, occupant)
+            if len(occupants) == 1:
+                self._occupancy_flip(element_id, 1)
             self._free[element_id] = old_free
             self._placements[key] = element_id
             self._allocated_total = old_allocated
@@ -515,11 +568,16 @@ class AllocationState:
             if not was_failed:
                 self._failed_elements.discard(element_id)
                 self._agg_restore(element_id, agg)
+                self._group_add(
+                    self.platform._node_position[element_id],
+                    self._free[element_id]._data,
+                )
         elif op == _OP_HEAL_ELEMENT:
             _op, element_id, was_failed, agg = entry
             if was_failed:
                 self._failed_elements.add(element_id)
                 self._agg_restore(element_id, agg)
+                self._group_remove(self.platform._node_position[element_id])
         elif op == _OP_FAIL_LINK:
             _op, link_id, was_failed = entry
             if not was_failed:
@@ -585,7 +643,7 @@ class AllocationState:
 
     @property
     def availability(self) -> AvailabilityCache:
-        """Epoch-cached implementation availability (see the class doc)."""
+        """Implementation availability from the free-class index."""
         if self._availability is None:
             self._availability = AvailabilityCache(self)
         return self._availability
@@ -692,7 +750,9 @@ class AllocationState:
 
     def _mirror_free(self, element_id: int, kinds) -> None:
         """Copy the named components of ``_free[element_id]`` into the
-        per-kind arrays (called after every free-vector update)."""
+        per-kind arrays and move the element to the free class of its
+        new vector (called after every free-vector update, journal
+        undo included)."""
         data = self._free[element_id]._data
         arrays = self._free_arrays
         for kind in kinds:
@@ -700,6 +760,84 @@ class AllocationState:
             if array is None:
                 array = arrays[kind] = [0] * self.platform.node_count
             array[element_id] = data.get(kind, 0)
+        position = self.platform._node_position[element_id]
+        group = self._group_of[position]
+        if group is not None and group[0] != data:
+            self._group_remove(position)
+            self._group_add(position, data)
+
+    # -- free-class and anchor indexes ---------------------------------------
+
+    def _rebuild_indexes(self) -> None:
+        """Rebuild the free-class and anchor indexes from the ledgers."""
+        platform = self.platform
+        element_ids = platform._element_ids
+        self._free_classes = [{} for _ in platform._capacity_classes]
+        self._group_of = [None] * len(element_ids)
+        failed = self._failed_elements
+        for position, element_id in enumerate(element_ids):
+            if element_id not in failed:
+                self._group_add(position, self._free[element_id]._data)
+        neighbors = platform._element_neighbor_positions
+        occupied = [0] * len(element_ids)
+        for position, element_id in enumerate(element_ids):
+            if self._occupants[element_id]:
+                for neighbor in neighbors[position]:
+                    occupied[neighbor] += 1
+        rows: dict[int, list[int]] = {}
+        row_of = []
+        rank = platform._name_rank
+        for position, count in enumerate(occupied):
+            connectivity = len(neighbors[position])
+            row = rows.get(connectivity)
+            if row is None:
+                row = rows[connectivity] = [0] * (connectivity + 1)
+            row[count] |= 1 << rank[position]
+            row_of.append(row)
+        self._occupied_neighbors = occupied
+        self._anchor_rows = rows
+        self._anchor_row_of = row_of
+
+    def _group_add(self, position: int, data: dict) -> None:
+        platform = self.platform
+        groups = self._free_classes[platform._capacity_class_of[position]]
+        key = frozenset(data.items())
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = [data, 0, 0, key]
+        group[1] |= 1 << position
+        group[2] |= 1 << platform._name_rank[position]
+        self._group_of[position] = group
+        self._index_generation += 1
+
+    def _group_remove(self, position: int) -> None:
+        platform = self.platform
+        group = self._group_of[position]
+        self._group_of[position] = None
+        group[1] ^= 1 << position
+        group[2] ^= 1 << platform._name_rank[position]
+        self._index_generation += 1
+        if not group[1]:
+            del self._free_classes[
+                platform._capacity_class_of[position]
+            ][group[3]]
+
+    def _occupancy_flip(self, element_id: int, delta: int) -> None:
+        """``element_id`` turned occupied (+1) or empty (-1): move its
+        element-neighbours to their new anchor buckets."""
+        platform = self.platform
+        rank = platform._name_rank
+        occupied = self._occupied_neighbors
+        row_of = self._anchor_row_of
+        position = platform._node_position[element_id]
+        for neighbor in platform._element_neighbor_positions[position]:
+            bit = 1 << rank[neighbor]
+            row = row_of[neighbor]
+            count = occupied[neighbor]
+            row[count] ^= bit
+            count += delta
+            occupied[neighbor] = count
+            row[count] |= bit
 
     def _recompute_aggregates(self) -> None:
         agg: dict = {}
@@ -780,7 +918,10 @@ class AllocationState:
             raise AllocationError(
                 f"element {name} cannot host {task_id!r}: {exc}"
             ) from exc
-        self._occupants[element_id].append(Occupant(app_id, task_id, requirement))
+        occupants = self._occupants[element_id]
+        occupants.append(Occupant(app_id, task_id, requirement))
+        if len(occupants) == 1:
+            self._occupancy_flip(element_id, 1)
         self._placements[key] = element_id
         self._wear[element_id] += 1
         old_allocated = self._allocated_total
@@ -807,6 +948,8 @@ class AllocationState:
         for index, occupant in enumerate(occupants):
             if occupant.app_id == app_id and occupant.task_id == task_id:
                 del occupants[index]
+                if not occupants:
+                    self._occupancy_flip(element_id, -1)
                 old_free = self._free[element_id]
                 self._free[element_id] = old_free + occupant.requirement
                 old_allocated = self._allocated_total
@@ -1050,6 +1193,7 @@ class AllocationState:
             )
         if not was_failed:
             self._agg_apply(element_id, self._free[element_id], -1)
+            self._group_remove(self.platform._node_position[element_id])
         self._failed_elements.add(element_id)
         self._epoch += 1
 
@@ -1065,6 +1209,10 @@ class AllocationState:
             )
         if was_failed:
             self._agg_apply(element_id, self._free[element_id], 1)
+            self._group_add(
+                self.platform._node_position[element_id],
+                self._free[element_id]._data,
+            )
         self._failed_elements.discard(element_id)
         self._epoch += 1
 
@@ -1264,11 +1412,7 @@ class AllocationState:
         # conservatively advance (stale memo entries self-invalidate)
         self._epoch = self._epoch + 1 if epoch is None else epoch
         self._rebuild_free_arrays()
-        # restore() may install state from another timeline (foreign
-        # snapshot dicts are accepted), so cached scans are dropped
-        # wholesale rather than trusting epoch equality
-        if self._availability is not None:
-            self._availability._epoch = -1
+        self._rebuild_indexes()
         # the flip log cannot describe a timeline jump: advance the
         # base past every outstanding mark so cached distance fields
         # read as unverifiable (the engine recomputes from live state)

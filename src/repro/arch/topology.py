@@ -33,6 +33,13 @@ back to names only at public API boundaries:
   reverse direction; ``slot >> 1`` recovers the undirected link id,
 * ``slot_vc`` / ``slot_bw`` — per-slot capacity arrays mirroring the
   :class:`Link` attributes.
+
+Freezing also groups the elements into **capacity classes** — equal
+(kind, capacity) — so static compatibility is decided once per class
+instead of once per element, and ranks every element by name, the
+tie-break order of every allocation phase.  The free-class and anchor
+indexes of :class:`~repro.arch.state.AllocationState` are bitmasks over
+element positions and name ranks.
 """
 
 from __future__ import annotations
@@ -40,8 +47,16 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from repro.arch.elements import Node, ProcessingElement, Router, is_element
+from repro.arch.elements import (
+    ElementType,
+    Node,
+    ProcessingElement,
+    Router,
+    is_element,
+)
+from repro.arch.resources import ResourceVector
 
 
 class TopologyError(ValueError):
@@ -85,6 +100,15 @@ class Link:
         return frozenset((self.a.name, self.b.name))
 
 
+class CapacityClass(NamedTuple):
+    """Elements of one kind and one capacity (static compatibility is
+    the same for all of them), by position in ``Platform.elements``."""
+
+    kind: ElementType
+    capacity: ResourceVector
+    positions: tuple[int, ...]
+
+
 class Platform:
     """An immutable-after-freeze heterogeneous MPSoC model.
 
@@ -118,6 +142,14 @@ class Platform:
         self._routers_tuple: tuple[Router, ...] = ()
         self._element_neighbor_ids: dict[str, tuple[int, ...]] = {}
         self._element_pair_ids: tuple[tuple[int, int], ...] = ()
+        # element positions / name ranks, populated by freeze()
+        self._node_position: tuple[int, ...] = ()
+        self._name_rank: tuple[int, ...] = ()
+        self._elements_by_rank: tuple[ProcessingElement, ...] = ()
+        self._capacity_classes: tuple[CapacityClass, ...] = ()
+        self._capacity_class_of: tuple[int, ...] = ()
+        self._element_neighbor_positions: tuple[tuple[int, ...], ...] = ()
+        self._max_element_connectivity = 0
 
     # -- construction -------------------------------------------------
 
@@ -164,6 +196,7 @@ class Platform:
         self._frozen = True
         self._intern()
         self._compute_element_adjacency()
+        self._classify_elements()
         return self
 
     def _intern(self) -> None:
@@ -474,6 +507,59 @@ class Platform:
             (self._node_ids[a.name], self._node_ids[b.name])
             for a, b in self._element_pairs
         )
+
+    def _classify_elements(self) -> None:
+        """Positions, name ranks, capacity classes and per-position
+        element adjacency (see the module docstring)."""
+        elements = self._elements_tuple
+        node_position = [-1] * len(self._nodes_by_id)
+        for position, node_id in enumerate(self._element_ids):
+            node_position[node_id] = position
+        self._node_position = tuple(node_position)
+        by_name = sorted(range(len(elements)), key=lambda p: elements[p].name)
+        rank = [0] * len(elements)
+        for position_rank, position in enumerate(by_name):
+            rank[position] = position_rank
+        self._name_rank = tuple(rank)
+        self._elements_by_rank = tuple(elements[p] for p in by_name)
+        class_ids: dict[tuple, int] = {}
+        members: list[list[int]] = []
+        class_of = []
+        for position, element in enumerate(elements):
+            key = (element.kind, element.capacity)
+            class_id = class_ids.get(key)
+            if class_id is None:
+                class_id = class_ids[key] = len(members)
+                members.append([])
+            members[class_id].append(position)
+            class_of.append(class_id)
+        self._capacity_classes = tuple(
+            CapacityClass(kind, capacity, tuple(members[class_id]))
+            for (kind, capacity), class_id in class_ids.items()
+        )
+        self._capacity_class_of = tuple(class_of)
+        self._element_neighbor_positions = tuple(
+            tuple(
+                node_position[node_id]
+                for node_id in self._element_neighbor_ids[element.name]
+            )
+            for element in elements
+        )
+        self._max_element_connectivity = max(
+            map(len, self._element_neighbor_positions), default=0
+        )
+
+    @property
+    def capacity_classes(self) -> tuple[CapacityClass, ...]:
+        """Elements grouped by equal (kind, capacity), in first-seen order."""
+        self._require_frozen()
+        return self._capacity_classes
+
+    @property
+    def max_element_connectivity(self) -> int:
+        """The largest :meth:`element_connectivity` on the platform."""
+        self._require_frozen()
+        return self._max_element_connectivity
 
     def element_neighbors(self, element: ProcessingElement | str) -> tuple[ProcessingElement, ...]:
         """Adjacent elements of ``element`` (see class docstring)."""

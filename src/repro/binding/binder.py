@@ -24,7 +24,7 @@ from repro.apps.implementations import Implementation
 from repro.apps.taskgraph import Application
 from repro.arch.elements import ProcessingElement
 from repro.arch.resources import ResourceVector
-from repro.arch.state import AllocationState
+from repro.arch.state import AllocationState, fit_slack
 from repro.reasons import ReasonCode
 
 #: regret assigned to tasks with a single feasible implementation —
@@ -76,129 +76,76 @@ class BindingResult:
 class _CapacityPool:
     """Provisional free capacities during one binding run.
 
-    The regret loop asks for every unbound implementation's best-fit
-    element on every round, which used to rescan the whole platform
-    each time — O(rounds x impls x elements).  Since reservations only
-    ever *shrink* one element's capacity, the best-fit answer per
-    implementation is cached and maintained incrementally: a reserve
-    invalidates only the implementations whose cached best is the
-    touched element, and for all others the touched element is simply
-    re-compared against the cached best (shrinking an element can make
-    it a better best-fit or infeasible, never change other elements).
+    An overlay on the allocation state: only the elements the run has
+    provisionally reserved carry a vector of their own; every other
+    element's provisional capacity is its free capacity in the state.
+    So the best fit for an implementation is the state's free-class
+    index answer with the reserved elements masked out, compared with
+    the reserved elements re-scored on their provisional vectors —
+    O(free classes + reservations), never O(platform).
+
+    The regret loop asks for every unbound implementation's best fit on
+    every round, so the answer per implementation is cached and kept
+    up to date incrementally: a reserve invalidates only the
+    implementations whose cached best is the touched element, and for
+    all others the touched element is simply re-compared against the
+    cached best (shrinking an element can make it a better best-fit or
+    infeasible, never change other elements).
     """
 
     def __init__(self, state: AllocationState):
+        self._state = state
         self.platform = state.platform
-        #: provisional free capacity indexed like ``platform.elements``
-        #: (None marks failed elements), so the per-implementation
-        #: static compatibility lists can index it directly
-        self._free: list[ResourceVector | None] = []
-        #: id(element) -> position in ``platform.elements`` — the
-        #: platform's interned table (static per frozen platform)
-        self._position: dict[int, int] = state.platform._element_position
-        #: id(impl) -> (impl, best element, best slack) or (impl, None, 0.0)
+        self._availability = state.availability
+        #: position in ``platform.elements`` -> provisional free vector
+        #: of a reserved element
+        self._free: dict[int, ResourceVector] = {}
+        #: name-rank mask of the reserved elements
+        self._reserved = 0
+        #: id(impl) -> (impl, best element, best slack) or (impl, None, inf)
         self._best: dict[int, tuple[Implementation, ProcessingElement | None, float]] = {}
-        self._availability = state.availability
-        #: True until the first provisional reservation: while pristine
-        #: the pool's free vectors equal the raw state's, so best-fit
-        #: scans are delegated to the state's epoch-stamped
-        #: availability cache (one shared scan per implementation per
-        #: epoch across the gate, the anchors and this pool)
-        self._pristine = True
-        self.reset(state)
 
-    def reset(self, state: AllocationState) -> None:
-        """Refill from the live ledgers (id-indexed, no name hashing).
-
-        The pool object itself is reused across binding runs via the
-        state's scratch cache — the free list and the best-fit cache's
-        hash table are recycled storage, their *contents* always come
-        from the current allocation state.
-        """
-        free_by_node = state._free
-        failed = state._failed_elements
-        element_ids = state.platform.element_ids
-        pool_free = self._free
-        pool_free.clear()
-        if failed:
-            pool_free.extend(
-                None if element_id in failed else free_by_node[element_id]
-                for element_id in element_ids
-            )
-        else:
-            pool_free.extend(
-                free_by_node[element_id] for element_id in element_ids
-            )
-        self._best.clear()
-        self._availability = state.availability
-        self._pristine = True
-
-    def _slack(self, impl: Implementation, position: int) -> float | None:
-        """Best-fit score of the element at ``position``; None when unfit.
-
-        Smaller is better: minimal leftover on the bottleneck resource
-        keeps the provisional packing tight, so binding only fails when
-        the platform is genuinely close to full.
-        """
-        if not impl.runs_on(self.platform.elements[position]):
+    def _score(self, impl: Implementation, position: int) -> float | None:
+        """Best-fit slack of the reserved element at ``position``; None
+        when the implementation cannot run on it or no longer fits."""
+        classes, pin = impl.compatible_classes(self.platform)
+        if self.platform._capacity_class_of[position] not in classes or (
+            pin is not None and pin != position
+        ):
             return None
-        free = self._free[position]
-        requirement = impl.requirement
-        if free is None or not requirement.fits_in(free):
-            return None
-        return 1.0 - requirement.bottleneck(free)
-
-    def _scan(self, impl: Implementation) -> tuple[ProcessingElement | None, float]:
-        best: ProcessingElement | None = None
-        best_slack = float("inf")
-        free = self._free
-        # fits_in + bottleneck fused into one pass over the component
-        # dicts: same comparisons, same float divisions in the same
-        # order, one traversal instead of two method calls per element
-        requirement_items = tuple(impl.requirement._data.items())
-        for position, element in impl.compatible_on(self.platform):
-            available = free[position]
-            if available is None:
-                continue
-            data = available._data
-            worst = 0.0
-            for kind, quantity in requirement_items:
-                have = data.get(kind)
-                if have is None or quantity > have:
-                    worst = -1.0
-                    break
-                ratio = quantity / have
-                if ratio > worst:
-                    worst = ratio
-            if worst < 0.0:
-                continue
-            slack = 1.0 - worst
-            if slack < best_slack or (
-                slack == best_slack and best is not None and element.name < best.name
-            ):
-                best = element
-                best_slack = slack
-        return best, best_slack
+        return fit_slack(
+            tuple(impl.requirement._data.items()), self._free[position]._data
+        )
 
     def feasible_element(self, impl: Implementation) -> ProcessingElement | None:
         """Best-fit element that can still host ``impl``, or None."""
         key = id(impl)
         cached = self._best.get(key)
-        if cached is None:
-            if self._pristine:
-                # no provisional reservations yet: the answer over the
-                # raw state is shared via the availability cache
-                best, best_slack = self._availability.best_fit(impl)
-            else:
-                best, best_slack = self._scan(impl)
-            self._best[key] = (impl, best, best_slack)
-            return best
-        return cached[1]
+        if cached is not None:
+            return cached[1]
+        best, best_slack = self._availability.best_fit(impl, self._reserved)
+        elements = self.platform.elements
+        for position in self._free:
+            slack = self._score(impl, position)
+            if slack is None:
+                continue
+            element = elements[position]
+            if slack < best_slack or (
+                slack == best_slack and element.name < best.name
+            ):
+                best = element
+                best_slack = slack
+        self._best[key] = (impl, best, best_slack)
+        return best
 
     def reserve(self, element: ProcessingElement, impl: Implementation) -> None:
-        self._pristine = False
-        position = self._position[id(element)]
-        self._free[position] = self._free[position] - impl.requirement
+        platform = self.platform
+        position = platform._element_position[id(element)]
+        free = self._free.get(position)
+        if free is None:
+            free = self._state._free[platform._element_ids[position]]
+            self._reserved |= 1 << platform._name_rank[position]
+        self._free[position] = free - impl.requirement
         for key, (cached_impl, best, best_slack) in list(self._best.items()):
             if best is None:
                 continue  # nothing fit before; a shrink changes nothing
@@ -206,7 +153,7 @@ class _CapacityPool:
                 # the cached winner shrank: recompute lazily on next ask
                 del self._best[key]
                 continue
-            slack = self._slack(cached_impl, position)
+            slack = self._score(cached_impl, position)
             if slack is not None and (
                 slack < best_slack
                 or (slack == best_slack and element.name < best.name)
@@ -228,16 +175,8 @@ def bind(
     Raises :class:`BindingError` naming the first task that has no
     feasible implementation left.
     """
-    # the provisional pool's storage is recycled across binding runs
-    # (one bind at a time per state); its contents are reset from the
-    # live ledgers on every acquisition
     scratch_objects = state.scratch.objects
-    pool = scratch_objects.get("binder.pool")
-    if pool is None or pool.platform is not state.platform:
-        pool = _CapacityPool(state)
-        scratch_objects["binder.pool"] = pool
-    else:
-        pool.reset(state)
+    pool = _CapacityPool(state)
     result = BindingResult(choice={})
     unbound = sorted(app.tasks)
 
@@ -252,10 +191,7 @@ def bind(
     if len(scratch_objects) >= _OPTIONS_CACHE_LIMIT:
         # a cache, not state: callers minting a fresh Application per
         # request must not pin every one of them for the state's life
-        pool_entry = scratch_objects.get("binder.pool")
         scratch_objects.clear()
-        if pool_entry is not None:
-            scratch_objects["binder.pool"] = pool_entry
     # guarded by the identity of every Task object: in-place task
     # replacement (the documented mutation pattern of
     # Application.invalidate_graph_cache) swaps frozen Task instances,

@@ -92,7 +92,6 @@ class MappingCost:
     ) -> None:
         self.weights = weights
         self.distance_penalty = distance_penalty
-        self._max_connectivity: dict[int, int] = {}
 
     def __call__(
         self,
@@ -247,18 +246,9 @@ class MappingCost:
                             cached = BONUS_OTHER_APP
                     status[neighbor_id] = cached
                 bonus += cached
-        platform_key = id(platform)
-        max_connectivity = self._max_connectivity.get(platform_key)
-        if max_connectivity is None:
-            max_connectivity = max(
-                (
-                    platform.element_connectivity(e)
-                    for e in platform.elements
-                ),
-                default=0,
-            )
-            self._max_connectivity[platform_key] = max_connectivity
-        bonus += BONUS_BORDER * (max_connectivity - len(neighbor_ids))
+        bonus += BONUS_BORDER * (
+            platform.max_element_connectivity - len(neighbor_ids)
+        )
         return bonus
 
     # -- objective terms ---------------------------------------------------
@@ -378,18 +368,9 @@ class MappingCost:
                     break
             else:
                 bonus += BONUS_OTHER_APP
-        platform_key = id(state.platform)
-        max_connectivity = self._max_connectivity.get(platform_key)
-        if max_connectivity is None:
-            max_connectivity = max(
-                (
-                    state.platform.element_connectivity(e)
-                    for e in state.platform.elements
-                ),
-                default=0,
-            )
-            self._max_connectivity[platform_key] = max_connectivity
         # element_connectivity(element) is by definition the length of
         # the adjacency list already in hand
-        bonus += BONUS_BORDER * (max_connectivity - len(neighbor_ids))
+        bonus += BONUS_BORDER * (
+            platform.max_element_connectivity - len(neighbor_ids)
+        )
         return bonus

@@ -106,31 +106,10 @@ def available_elements(
     """All elements that can host the bound implementation *now*.
 
     This is the paper's ``{e | av(e, t)}``: static compatibility of the
-    implementation and sufficient free resources in the current state.
-    Served from the state's epoch-stamped availability cache — the
-    admission gate and the anchor detection scanned the same
-    implementations at the same epoch.
+    implementation and sufficient free resources in the current state,
+    read from the state's free-class index.
     """
     return list(state.availability.available(implementation))
-
-
-
-
-def _single_available_element(
-    implementation: Implementation,
-    state: AllocationState,
-) -> ProcessingElement | None:
-    """The element of a single-option task, or None when 0 or >= 2 fit.
-
-    Anchor detection only needs to know whether *exactly one* element
-    is available, so it asks the state's epoch-stamped
-    :class:`~repro.arch.state.AvailabilityCache` — the admission gate
-    already scanned for these implementations at the same epoch (the
-    binding phase makes no state mutations), so the common case is a
-    dictionary hit instead of a platform scan.
-    """
-    count, first = state.availability.summary(implementation)
-    return first if count == 1 else None
 
 
 def map_application(
@@ -167,102 +146,71 @@ def map_application(
     if bind_requirements is not None:
         bind_requirements(requirements)
 
-    # static compatibility as platform-position sets: one membership
-    # probe per (task, element) query instead of a runs_on call — the
-    # GAP solver asks this for every task on every candidate element
-    element_position = state.platform._element_position
+    # static compatibility per capacity class: one membership probe
+    # per (task, element) query instead of a runs_on call — the GAP
+    # solver asks this for every task on every candidate element
     platform = state.platform
-    positions_of = {
-        task: binding[task].compatible_positions(platform)
-        for task in app.tasks
+    element_position = platform._element_position
+    class_of = platform._capacity_class_of
+    classes_of = {
+        task: binding[task].compatible_classes(platform) for task in app.tasks
     }
 
     def compatible(task: str, element: ProcessingElement) -> bool:
         position = element_position.get(id(element))
         if position is None:  # foreign element object: fall back
             return binding[task].runs_on(element)
-        return position in positions_of[task]
+        classes, pin = classes_of[task]
+        return class_of[position] in classes and (
+            pin is None or pin == position
+        )
 
     result = MappingResult(placement={}, anchors={})
 
     # ---- M0: single-option anchors (paper Fig. 5, line 2) ----------------
+    availability = state.availability
     anchor_pairs: list[tuple[str, ProcessingElement]] = []
     for task in sorted(app.tasks):
-        anchor = _single_available_element(binding[task], state)
-        if anchor is not None:
-            anchor_pairs.append((task, anchor))
+        count, first = availability.summary(binding[task])
+        if count == 1:
+            anchor_pairs.append((task, first))
 
     # ---- empty M0: anchor the minimum-degree task (lines 3-4) ------------
     if not anchor_pairs:
         t0 = min(app.min_degree_tasks())
         impl0 = binding[t0]
-        # With an empty placement the stock cost function is a pure
-        # function of (element, allocation state): the communication
-        # term is zero (no mapped peers yet) and the fragmentation
-        # bonus can never match the fresh app_id.  The chosen anchor
-        # is therefore shared across attempts at the same epoch —
-        # restricted to exactly MappingCost, because custom cost
-        # callables may read anything at all.
-        memo = key = None
+        empty_distances = SparseDistanceMatrix(platform)
         if type(cost) is MappingCost:
-            memo = state.availability.epoch_memo()
-            key = ("anchor", id(cost), id(impl0))
-            cached = memo.get(key)
-            if cached is not None and cached[0] is impl0 and cached[1] is cost:
-                e0 = cached[2]
-                if e0 is None:
-                    raise MappingError(
-                        f"no available element for starting task {t0!r}",
-                        code=ReasonCode.MAPPING_NO_ANCHOR,
-                    )
-                anchor_pairs.append((t0, e0))
-        if not anchor_pairs:
-            candidates = available_elements(t0, impl0, state)
-            if not candidates:
-                if memo is not None:
-                    memo[key] = (impl0, cost, None)
-                raise MappingError(
-                    f"no available element for starting task {t0!r}",
-                    code=ReasonCode.MAPPING_NO_ANCHOR,
-                )
-            empty_distances = SparseDistanceMatrix(state.platform)
-            if memo is not None:
-                # the per-element anchor cost is likewise a pure
-                # function of (element, state) for the stock cost, so
-                # the evaluations are shared across *different* specs
-                # probing at the same epoch (consecutive rejected
-                # arrivals between two capacity events)
-                table_entry = memo.get(("anchor_costs", id(cost)))
-                if table_entry is None or table_entry[0] is not cost:
-                    table_entry = (cost, {})
-                    memo[("anchor_costs", id(cost))] = table_entry
-                table = table_entry[1]
+            # With an empty placement the stock cost depends only on how
+            # many of an element's neighbours are occupied and how many
+            # neighbours it has: the communication term is zero (no
+            # mapped peers yet) and no neighbour can host the fresh
+            # app_id.  The state's anchor index buckets the elements by
+            # exactly those two numbers, so one candidate per bucket
+            # suffices — restricted to exactly MappingCost, because
+            # custom cost callables may read anything at all.
+            candidates = availability.anchor_candidates(impl0)
 
-                def anchor_key(e):
-                    value = table.get(id(e))
-                    if value is None:
-                        # empty placement: no communication peers, no
-                        # fragmentation peers — the stock cost takes
-                        # the pre-resolved-id path with empty contexts
-                        value = cost(
-                            app, app_id, t0, e, state, {}, empty_distances,
-                            _comm_peers=(), _frag_peers=frozenset(),
-                        )
-                        table[id(e)] = value
-                    return (value, e.name)
-
-                e0 = min(candidates, key=anchor_key)
-            else:
-                e0 = min(
-                    candidates,
-                    key=lambda e: (
-                        cost(app, app_id, t0, e, state, {}, empty_distances),
-                        e.name,
-                    ),
+            def anchor_key(e):
+                return (
+                    cost(app, app_id, t0, e, state, {}, empty_distances,
+                         _comm_peers=(), _frag_peers=frozenset()),
+                    e.name,
                 )
-            if memo is not None:
-                memo[key] = (impl0, cost, e0)
-            anchor_pairs.append((t0, e0))
+        else:
+            candidates = availability.available(impl0)
+
+            def anchor_key(e):
+                return (
+                    cost(app, app_id, t0, e, state, {}, empty_distances),
+                    e.name,
+                )
+        if not candidates:
+            raise MappingError(
+                f"no available element for starting task {t0!r}",
+                code=ReasonCode.MAPPING_NO_ANCHOR,
+            )
+        anchor_pairs.append((t0, min(candidates, key=anchor_key)))
 
     # commit the anchors
     for task, element in anchor_pairs:
@@ -343,12 +291,8 @@ def _map_layer(
         placement_now = result.placement
         cost_context: dict[str, tuple] = {}
         # per-layer neighbour-status memo for the fragmentation bonus
-        # (epoch-scoped: the layer's GAP runs at a frozen epoch, and
-        # the dict lives in the availability cache's epoch memo so a
-        # later layer at the same epoch keeps sharing it)
-        frag_status = state.availability.epoch_memo().setdefault(
-            ("frag_status", app_id), {}
-        )
+        # (the layer's GAP runs at a frozen allocation state)
+        frag_status: dict = {}
 
         def _task_context(task: str) -> tuple:
             comm_peers = []

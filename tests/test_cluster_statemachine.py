@@ -13,7 +13,9 @@ invariants:
   dead/probation shards never appear in it;
 * utilization stays within [0, 1] on every shard;
 * bookkeeping and residency agree up to legitimate strandedness
-  (a booked part is either resident or its shard has been killed).
+  (a booked part is either resident or its shard has been killed);
+* every shard's free-class and anchor indexes answer exactly what a
+  brute-force platform scan answers.
 
 Teardown releases everything and asserts the cluster drains to zero —
 whatever the interleaving did, no allocation survives its owner.
@@ -36,6 +38,7 @@ from hypothesis.stateful import (
 from repro.cluster import ClusterManager, build_shards
 from repro.cluster.registry import ROUTABLE_STATES
 from tests.conftest import chain_app
+from tests.oracle import audit_availability
 
 
 class ClusterMachine(RuleBasedStateMachine):
@@ -175,6 +178,18 @@ class ClusterMachine(RuleBasedStateMachine):
                 # the books survive, the allocation does not
                 if not resident:
                     assert app_id in self.cluster.stranded_by_faults()
+
+    @invariant()
+    def indexes_match_brute_force(self):
+        impls = [
+            impl
+            for size in (1, 2, 3)
+            for task in chain_app(size).tasks.values()
+            for impl in task.implementations
+        ]
+        for shard in self.cluster.shards:
+            manager = shard.manager
+            audit_availability(manager.state, impls, (manager.cost,))
 
     def teardown(self):
         self.cluster.release_all()

@@ -20,7 +20,8 @@ and its commit.  The contract under test (ROADMAP open item 4):
   failed double-commit changes nothing;
 * through every interleaving the state stays sane: utilization within
   [0, 1], the admitted registry consistent with the specifications
-  registry.
+  registry, and the state's free-class and anchor indexes answer
+  exactly what a brute-force platform scan answers.
 
 Teardown repairs all outstanding faults, releases everything and
 asserts the platform drains to zero utilization.
@@ -44,6 +45,7 @@ from repro.api import AdmissionController
 from repro.arch import mesh
 from repro.arch.faults import Fault, apply_fault, apply_repair
 from tests.conftest import chain_app, diamond_app
+from tests.oracle import audit_availability
 
 
 class ControllerMachine(RuleBasedStateMachine):
@@ -58,6 +60,13 @@ class ControllerMachine(RuleBasedStateMachine):
             e.name for e in self.controller.platform.elements
         )
         self.next_id = 0
+        #: every implementation the rules can submit
+        self.implementations = {
+            impl
+            for app in [self._app(size) for size in range(4)]
+            for task in app.tasks.values()
+            for impl in task.implementations
+        }
 
     # -- helpers -------------------------------------------------------------
 
@@ -164,6 +173,13 @@ class ControllerMachine(RuleBasedStateMachine):
         # file (the recovery engine's re-admission source)
         for app_id in manager.admitted:
             assert app_id in manager.specifications
+
+    @invariant()
+    def indexes_match_brute_force(self):
+        audit_availability(
+            self.controller.state, self.implementations,
+            (self.controller.manager.cost,),
+        )
 
     def teardown(self):
         for fault in self.active_faults:
